@@ -10,8 +10,7 @@
 // With no -workers flag it spawns in-process workers, which makes a
 // single-binary demo of the full network path. -jobs N runs the join N
 // times over the one dialed session (the dial-amortization the session
-// protocol exists for); -dial-per-job falls back to the one-shot v2
-// transport for comparison, and -multiway runs the 3-way chain join
+// protocol exists for), and -multiway runs the 3-way chain join
 // pipeline distributed end to end — by default with the direct
 // worker→worker re-shuffle of the stage-1 intermediate (-relay forces the
 // coordinator-relay baseline). -planin executes a plan artifact written by
@@ -59,7 +58,6 @@ func main() {
 		j          = flag.Int("j", 4, "number of regions J")
 		seed       = flag.Uint64("seed", 42, "random seed")
 		jobs       = flag.Int("jobs", 1, "jobs to run over the one dialed session")
-		dialPerJob = flag.Bool("dial-per-job", false, "use the one-shot v2 transport (dials every worker per job)")
 		mway       = flag.Bool("multiway", false, "run the 3-way chain join pipeline instead of a 2-way join")
 		relay      = flag.Bool("relay", false, "with -multiway: force the coordinator-relay baseline instead of the peer shuffle")
 		stage2     = flag.String("stage2-scheme", "auto", "with -multiway: peer-path stage-2 scheme (auto, hash, ci, csio; auto = CSIO via distributed statistics)")
@@ -190,28 +188,6 @@ func main() {
 			fatal(fmt.Errorf("-relay re-plans stage 2 on the coordinator; -stage2-scheme %v applies to the peer path only", mode))
 		}
 		runMultiway(addrs, *tenant, r1, r2, *n, *j, *seed, model, timeouts, retry, *relay, mode, engine)
-		return
-	}
-
-	if *dialPerJob {
-		if *timeout > 0 {
-			fmt.Fprintln(os.Stderr, "ewhcoord: -timeout applies to session connections only; the one-shot v2 transport ignores it")
-		}
-		if *retries > 0 {
-			fmt.Fprintln(os.Stderr, "ewhcoord: -retries applies to session connections only; the one-shot v2 transport fails fast")
-		}
-		start := time.Now()
-		var res *exec.Result
-		var err error
-		for i := 0; i < *jobs; i++ {
-			res, err = netexec.Run(addrs, r1, r2, cond, scheme, model,
-				exec.Config{Seed: execSeed, Engine: engine})
-			if err != nil {
-				fatal(err)
-			}
-		}
-		fmt.Printf("%d job(s), dial-per-job, total %v\n", *jobs, time.Since(start).Round(time.Millisecond))
-		printResult(res, addrs)
 		return
 	}
 

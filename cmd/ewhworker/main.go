@@ -1,6 +1,6 @@
 // Command ewhworker runs a join worker server for the networked execution
-// mode: it accepts jobs from an ewhcoord coordinator — one-shot v1/v2
-// connections or persistent v3 sessions — joins the tuples it receives and
+// mode: it serves persistent sessions from ewhcoord coordinators and
+// peer-mesh transfers from other workers, joins the tuples it receives and
 // reports its metrics.
 //
 // On SIGINT/SIGTERM the worker shuts down gracefully: it stops accepting,

@@ -90,8 +90,7 @@ func spinCalibration() (int64, time.Duration) {
 // ExecBench times the engine's hot paths: the shuffle (fan-out-1 and
 // replicating), the full CSIO band-join execution, the local merge-sweep
 // count in isolation, and the distributed (netexec) path over loopback TCP
-// workers — both the v2 binary protocol and its v1 gob baseline, so the
-// wire-format advantage stays a tracked number.
+// workers on the persistent session and the peer mesh.
 func ExecBench(cfg Config) (*ExecBenchReport, error) {
 	cfg.Defaults()
 	n := 200000 * cfg.Scale
@@ -183,14 +182,18 @@ func ExecBench(cfg Config) (*ExecBenchReport, error) {
 		defer w.Close()
 		addrs[i] = w.Addr()
 	}
-	runNetRow := func(name string, run func(addrs []string, r1, r2 []join.Key,
-		cond join.Condition, s partition.Scheme, model cost.Model,
-		cfg exec.Config) (*exec.Result, error),
-		s partition.Scheme, ra, rb []join.Key, cond join.Condition) error {
-
+	// Every distributed row runs over one persistent session: the workers
+	// are dialed ONCE and every rep is a numbered job over the open
+	// connections.
+	sess, err := netexec.Dial(addrs)
+	if err != nil {
+		return nil, fmt.Errorf("execbench: dial session: %w", err)
+	}
+	defer sess.Close()
+	runNetRow := func(name string, s partition.Scheme, ra, rb []join.Key, cond join.Condition) error {
 		var best *exec.Result
 		for i := 0; i < execBenchReps; i++ {
-			res, err := run(addrs, ra, rb, cond, s, cost.DefaultBand,
+			res, err := exec.RunOver(sess, ra, rb, cond, s, cost.DefaultBand,
 				exec.Config{Seed: cfg.Seed, Mappers: 4})
 			if err != nil {
 				return fmt.Errorf("execbench: %s: %w", name, err)
@@ -206,48 +209,23 @@ func ExecBench(cfg Config) (*ExecBenchReport, error) {
 		})
 		return nil
 	}
-	if err := runNetRow("netexec-shuffle-binary", netexec.Run, hash, r1, empty, join.Equi{}); err != nil {
+	if err := runNetRow("netexec-session-shuffle", hash, r1, empty, join.Equi{}); err != nil {
 		return nil, err
 	}
-	if err := runNetRow("netexec-shuffle-gob", netexec.RunGob, hash, r1, empty, join.Equi{}); err != nil {
-		return nil, err
-	}
-	if err := runNetRow("netexec-csio-band-binary", netexec.Run, csio.Scheme, r1, r2, band); err != nil {
-		return nil, err
-	}
-	if err := runNetRow("netexec-csio-band-gob", netexec.RunGob, csio.Scheme, r1, r2, band); err != nil {
-		return nil, err
-	}
-
-	// Persistent-session rows: the same workers, dialed ONCE — every rep is
-	// a numbered job over the open connections, so the session-vs-binary
-	// delta on the shuffle row is the tracked dial-amortization win. The
-	// payload row ships each tuple with an 8-byte payload segment against
-	// an empty R2, isolating the v3 payload wire path (encode, ship, decode
-	// into pooled flat buffers).
-	sess, err := netexec.Dial(addrs)
-	if err != nil {
-		return nil, fmt.Errorf("execbench: dial session: %w", err)
-	}
-	defer sess.Close()
-	sessRun := func(_ []string, ra, rb []join.Key, cond join.Condition,
-		s partition.Scheme, model cost.Model, cfg exec.Config) (*exec.Result, error) {
-		return exec.RunOver(sess, ra, rb, cond, s, model, cfg)
-	}
-	if err := runNetRow("netexec-session-shuffle", sessRun, hash, r1, empty, join.Equi{}); err != nil {
-		return nil, err
-	}
-	if err := runNetRow("netexec-session-csio-band", sessRun, csio.Scheme, r1, r2, band); err != nil {
+	if err := runNetRow("netexec-session-csio-band", csio.Scheme, r1, r2, band); err != nil {
 		return nil, err
 	}
 	// The distributed insert-while-probe row: an equi count job whose chunks
 	// feed the workers' hash builds as they decode (relation 2 probes the
 	// sealed build chunk by chunk, never materializing). The auto engine
 	// resolves to hash for equi, so this is the default session equi path.
-	if err := runNetRow("netexec-session-hashjoin-overlap", sessRun, hash, r1, r2, join.Equi{}); err != nil {
+	if err := runNetRow("netexec-session-hashjoin-overlap", hash, r1, r2, join.Equi{}); err != nil {
 		return nil, err
 	}
 
+	// The payload row ships each tuple with an 8-byte payload segment
+	// against an empty R2, isolating the v3 payload wire path (encode, ship,
+	// decode into pooled flat buffers).
 	payTuples := make([]exec.Tuple[join.Key], n)
 	for i, k := range r1 {
 		payTuples[i] = exec.Tuple[join.Key]{Key: k, Payload: k * 3}

@@ -16,7 +16,7 @@ import (
 
 // Regression is one benchmark metric that violated the gate.
 type Regression struct {
-	Row    string  // row name, e.g. "netexec-shuffle-binary"
+	Row    string  // row name, e.g. "netexec-session-shuffle"
 	Metric string  // "wall_ns", "output", "network_tuples", "max_work", "missing"
 	Base   float64 // baseline value
 	Cur    float64 // current value (0 for a missing row)

@@ -3,9 +3,10 @@ package exec_test
 // The netexec side of the cross-check harness lives in an external test
 // package: netexec imports exec, so the loopback comparison cannot sit in
 // package exec itself. It drives the same scheme × condition × mapper-count
-// grid as crosscheck_test.go and requires the distributed run to be
-// BIT-IDENTICAL to the in-process engine — same per-worker input and output
-// counts, same aggregates — since both sides now share exec.ShufflePair.
+// grid as crosscheck_test.go through exec.RunOver on one loopback session
+// and requires the distributed run to be BIT-IDENTICAL to the in-process
+// engine — same per-worker input and output counts, same aggregates — since
+// both sides share the engine's shuffle.
 
 import (
 	"fmt"
@@ -50,7 +51,7 @@ func startLoopbackWorkers(t *testing.T, n int) []string {
 
 func TestCrossCheckNetexecAgainstExec(t *testing.T) {
 	const maxWorkers = 8
-	addrs := startLoopbackWorkers(t, maxWorkers)
+	sess := dialLoopbackSession(t, maxWorkers)
 	mapperCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 
 	for seed := uint64(300); seed < 303; seed++ {
@@ -107,7 +108,7 @@ func TestCrossCheckNetexecAgainstExec(t *testing.T) {
 				for _, mappers := range mapperCounts {
 					cfg := exec.Config{Seed: seed + 4, Mappers: mappers}
 					local := exec.Run(r1, r2, tc.cond, s, netModel, cfg)
-					net, err := netexec.Run(addrs, r1, r2, tc.cond, s, netModel, cfg)
+					net, err := exec.RunOver(sess, r1, r2, tc.cond, s, netModel, cfg)
 					id := fmt.Sprintf("seed %d %s/%s mappers=%d", seed, tc.name, s.Name(), mappers)
 					if err != nil {
 						t.Fatalf("%s: netexec: %v", id, err)

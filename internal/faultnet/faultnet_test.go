@@ -142,17 +142,21 @@ func TestTrackerV4PeerHeaders(t *testing.T) {
 }
 
 func TestTrackerOpaqueOnUnknownMagic(t *testing.T) {
-	s := NewScript(Rule{Dir: In, Frame: FrameAny, Action: ActClose})
-	fc, _ := pipeConn(t, s)
-	junk := append([]byte("NOPE\x00\x00"), make([]byte, 256)...)
-	if err := fc.rt.feed(junk); err != nil {
-		t.Fatalf("opaque traffic faulted: %v", err)
-	}
-	if fc.rt.state != stateOpaque {
-		t.Fatalf("state %d, want opaque", fc.rt.state)
-	}
-	if s.Fired() {
-		t.Fatal("rule fired on unframed traffic")
+	// Traffic without the magic, or with a version the workers do not speak
+	// (2 is the retired one-shot protocol), is unframed: no rule may fire.
+	for _, head := range [][]byte{[]byte("NOPE\x00\x00"), prelude(2), prelude(9)} {
+		s := NewScript(Rule{Dir: In, Frame: FrameAny, Action: ActClose})
+		fc, _ := pipeConn(t, s)
+		junk := append(head, make([]byte, 256)...)
+		if err := fc.rt.feed(junk); err != nil {
+			t.Fatalf("%q: opaque traffic faulted: %v", head, err)
+		}
+		if fc.rt.state != stateOpaque {
+			t.Fatalf("%q: state %d, want opaque", head, fc.rt.state)
+		}
+		if s.Fired() {
+			t.Fatalf("%q: rule fired on unframed traffic", head)
+		}
 	}
 }
 

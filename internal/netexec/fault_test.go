@@ -309,10 +309,6 @@ func TestFaultnetFrameParity(t *testing.T) {
 		mine     byte
 		mirrored byte
 	}{
-		{"handshake", frameHandshake, faultnet.FrameHandshake},
-		{"v2 block", frameBlock, faultnet.FrameBlockV2},
-		{"v2 eos", frameEOS, faultnet.FrameEOSV2},
-		{"v2 metrics", frameMetrics, faultnet.FrameMetricsV2},
 		{"open job", frameV3OpenJob, faultnet.FrameOpenJob},
 		{"rel head", frameV3RelHead, faultnet.FrameRelHead},
 		{"block", frameV3Block, faultnet.FrameBlock},
@@ -338,15 +334,13 @@ func TestFaultnetFrameParity(t *testing.T) {
 		{"stream rep", frameV3StreamRep, faultnet.FrameStreamRep},
 		{"peer head", framePeerHead, faultnet.FramePeerHead},
 		{"peer block", framePeerBlock, faultnet.FramePeerBlock},
-		{"peer pay", framePeerPay, faultnet.FramePeerPay},
 	}
 	for _, p := range pairs {
 		if p.mine != p.mirrored {
 			t.Errorf("%s: netexec %d, faultnet %d", p.name, p.mine, p.mirrored)
 		}
 	}
-	if protoVersion != faultnet.VersionOneShot || protoVersionSession != faultnet.VersionSession ||
-		protoVersionPeer != faultnet.VersionPeer {
+	if protoVersionSession != faultnet.VersionSession || protoVersionPeer != faultnet.VersionPeer {
 		t.Error("protocol version constants diverged")
 	}
 }

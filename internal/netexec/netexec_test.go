@@ -3,35 +3,25 @@ package netexec
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"ewh/internal/core"
 	"ewh/internal/cost"
 	"ewh/internal/exec"
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
+	"ewh/internal/partition"
 	"ewh/internal/stats"
 )
 
 var model = cost.Model{Wi: 1, Wo: 0.2}
-
-func startWorkers(t *testing.T, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		w, err := ListenWorker("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = w.Addr()
-		go func() { _ = w.Serve() }()
-		t.Cleanup(func() { _ = w.Close() })
-	}
-	return addrs
-}
 
 func randKeys(n int, domain int64, seed uint64) []join.Key {
 	r := stats.NewRNG(seed)
@@ -50,9 +40,9 @@ func TestNetRunMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := startWorkers(t, plan.Scheme.Workers())
+	_, addrs := startWorkerSet(t, plan.Scheme.Workers())
 
-	netRes, err := Run(addrs, r1, r2, cond, plan.Scheme, model, exec.Config{Seed: 4})
+	netRes, err := exec.RunOver(dialSession(t, addrs), r1, r2, cond, plan.Scheme, model, exec.Config{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +56,7 @@ func TestNetRunMatchesLocal(t *testing.T) {
 	if netRes.NetworkTuples != localRes.NetworkTuples {
 		t.Fatalf("net shipped %d != local %d", netRes.NetworkTuples, localRes.NetworkTuples)
 	}
-	if !strings.HasSuffix(netRes.Scheme, "@net") {
+	if !strings.HasSuffix(netRes.Scheme, "@sess") {
 		t.Errorf("scheme label %q", netRes.Scheme)
 	}
 }
@@ -81,8 +71,8 @@ func TestNetRunCIScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := startWorkers(t, 4)
-	res, err := Run(addrs, r1, r2, cond, plan.Scheme, model, exec.Config{Seed: 7})
+	_, addrs := startWorkerSet(t, 4)
+	res, err := exec.RunOver(dialSession(t, addrs), r1, r2, cond, plan.Scheme, model, exec.Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,33 +86,35 @@ func TestNetRunTooFewWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := startWorkers(t, 2)
-	if _, err := Run(addrs, nil, nil, join.Equi{}, plan.Scheme, model, exec.Config{Seed: 1}); err == nil {
+	_, addrs := startWorkerSet(t, 2)
+	if _, err := exec.RunOver(dialSession(t, addrs), nil, nil, join.Equi{}, plan.Scheme, model,
+		exec.Config{Seed: 1}); err == nil {
 		t.Fatal("scheme wider than worker pool accepted")
 	}
 }
 
 func TestNetRunDialFailure(t *testing.T) {
-	plan, err := core.PlanCI(core.Options{J: 1, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run([]string{"127.0.0.1:1"}, []join.Key{1}, []join.Key{1},
-		join.Equi{}, plan.Scheme, model, exec.Config{Seed: 1})
-	if err == nil {
+	if _, err := Dial([]string{"127.0.0.1:1"}); err == nil {
 		t.Fatal("dead worker address accepted")
 	}
 }
 
 func TestNetRunUnsupportedCondition(t *testing.T) {
-	plan, err := core.PlanCI(core.Options{J: 1, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := startWorkers(t, 1)
-	_, err = Run(addrs, []join.Key{1}, []join.Key{1}, badCond{}, plan.Scheme, model, exec.Config{Seed: 1})
-	if err == nil {
+	// A condition with no wire spec fails the job before anything ships;
+	// the session stays usable.
+	_, addrs := startWorkerSet(t, 1)
+	sess := dialSession(t, addrs)
+	r1 := []join.Key{1, 2, 2}
+	if _, err := exec.RunOver(sess, r1, r1, badCond{}, partition.NewCI(1), model,
+		exec.Config{Seed: 1}); err == nil {
 		t.Fatal("unspecable condition accepted")
+	}
+	res, err := exec.RunOver(sess, r1, r1, join.Equi{}, partition.NewCI(1), model, exec.Config{Seed: 2})
+	if err != nil {
+		t.Fatalf("session unusable after a rejected job: %v", err)
+	}
+	if res.Output != 5 {
+		t.Fatalf("output %d, want 5", res.Output)
 	}
 }
 
@@ -180,8 +172,8 @@ func TestNetRunSkewedCSIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := startWorkers(t, plan.Scheme.Workers())
-	res, err := Run(addrs, r1, r2, cond, plan.Scheme, model, exec.Config{Seed: 10})
+	_, addrs := startWorkerSet(t, plan.Scheme.Workers())
+	res, err := exec.RunOver(dialSession(t, addrs), r1, r2, cond, plan.Scheme, model, exec.Config{Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +183,8 @@ func TestNetRunSkewedCSIO(t *testing.T) {
 }
 
 func TestNetRunConcurrentJobs(t *testing.T) {
-	// One worker pool serves two jobs concurrently (each job is one
-	// connection; the worker handles connections independently).
+	// One worker pool serves two coordinators' sessions concurrently (the
+	// worker handles connections independently).
 	r1 := randKeys(800, 500, 20)
 	r2 := randKeys(800, 500, 21)
 	cond := join.NewBand(1)
@@ -200,12 +192,13 @@ func TestNetRunConcurrentJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := startWorkers(t, 2)
+	_, addrs := startWorkerSet(t, 2)
 	want := localjoin.NestedLoopCount(r1, r2, cond)
 	done := make(chan error, 2)
 	for i := 0; i < 2; i++ {
+		sess := dialSession(t, addrs)
 		go func(seed uint64) {
-			res, err := Run(addrs, r1, r2, cond, plan.Scheme, model, exec.Config{Seed: seed})
+			res, err := exec.RunOver(sess, r1, r2, cond, plan.Scheme, model, exec.Config{Seed: seed})
 			if err == nil && res.Output != want {
 				err = fmt.Errorf("output %d, want %d", res.Output, want)
 			}
@@ -219,185 +212,75 @@ func TestNetRunConcurrentJobs(t *testing.T) {
 	}
 }
 
-func TestRunGobMatchesBinary(t *testing.T) {
-	// The same worker pool serves both wire protocols (sniffed per
-	// connection), and the v1 gob baseline must agree with the v2 binary
-	// path on every aggregate for a deterministic scheme.
-	r1 := randKeys(4000, 2000, 40)
-	r2 := randKeys(4000, 2000, 41)
-	cond := join.NewBand(2)
-	plan, err := core.PlanCSIO(r1, r2, cond, core.Options{J: 4, Model: model, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
+func TestRetiredProtocolsRefused(t *testing.T) {
+	// The worker speaks v3 sessions and the v4 peer mesh only. A magic
+	// prelude naming any other version — 2 is the retired one-shot protocol —
+	// gets one v3 metrics error on job 0 naming the spoken versions; a
+	// connection without the magic (the retired v1 gob stream opened with a
+	// bare gob handshake) is closed unanswered. Neither disturbs the worker:
+	// a fresh session still runs a job afterwards.
+	_, addrs := startWorkerSet(t, 1)
+	r1 := randKeys(200, 100, 140)
+	want := localjoin.NestedLoopCount(r1, r1, join.Equi{})
+	cases := []struct {
+		name    string
+		open    func(conn net.Conn) error
+		wantErr string // "" means the worker must close without a reply
+	}{
+		{"v1 gob handshake", func(conn net.Conn) error {
+			return gob.NewEncoder(conn).Encode(struct {
+				WorkerID int
+				Wi, Wo   float64
+			}{0, 1, 0.2})
+		}, ""},
+		{"v2 prelude", func(conn net.Conn) error { return writePrelude(conn, 2) },
+			"protocol version 2, worker speaks 3 and 4"},
+		{"unknown version", func(conn net.Conn) error { return writePrelude(conn, 9) },
+			"protocol version 9, worker speaks 3 and 4"},
 	}
-	addrs := startWorkers(t, plan.Scheme.Workers())
-	cfg := exec.Config{Seed: 43}
-	bin, err := Run(addrs, r1, r2, cond, plan.Scheme, model, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gobRes, err := RunGob(addrs, r1, r2, cond, plan.Scheme, model, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bin.Output != gobRes.Output || bin.NetworkTuples != gobRes.NetworkTuples {
-		t.Fatalf("binary (out=%d net=%d) != gob (out=%d net=%d)",
-			bin.Output, bin.NetworkTuples, gobRes.Output, gobRes.NetworkTuples)
-	}
-	for w := range bin.Workers {
-		if bin.Workers[w] != gobRes.Workers[w] {
-			t.Fatalf("worker %d metrics differ: binary %+v, gob %+v",
-				w, bin.Workers[w], gobRes.Workers[w])
-		}
-	}
-	if !strings.HasSuffix(bin.Scheme, "@net") || !strings.HasSuffix(gobRes.Scheme, "@gob") {
-		t.Errorf("scheme labels %q / %q", bin.Scheme, gobRes.Scheme)
-	}
-	if want := localjoin.NestedLoopCount(r1, r2, cond); bin.Output != want {
-		t.Fatalf("output %d, want ground truth %d", bin.Output, want)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addrs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := tc.open(conn); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			br := bufio.NewReader(conn)
+			if tc.wantErr != "" {
+				if m := readV3Metrics(t, br, 0); !strings.Contains(m.Err, tc.wantErr) {
+					t.Fatalf("error %q, want %q", m.Err, tc.wantErr)
+				}
+			}
+			// Whatever the worker replied, it then hangs up.
+			var ne net.Error
+			if _, err := br.ReadByte(); err == nil || errors.As(err, &ne) && ne.Timeout() {
+				t.Fatalf("worker kept the connection open (read: %v)", err)
+			}
+
+			sess := dialSession(t, addrs)
+			res, err := exec.RunOver(sess, r1, r1, join.Equi{}, partition.NewCI(1), model,
+				exec.Config{Seed: 141})
+			if err != nil {
+				t.Fatalf("fresh session after refused connection: %v", err)
+			}
+			if res.Output != want {
+				t.Fatalf("output %d, want %d", res.Output, want)
+			}
+		})
 	}
 }
 
-// dialV2 opens a raw v2 connection for protocol-level fault injection.
-func dialV2(t *testing.T, addr string, version uint16) (*bufio.Writer, net.Conn) {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = conn.Close() })
-	bw := bufio.NewWriter(conn)
-	var prelude [6]byte
+// writePrelude sends the magic and a protocol version.
+func writePrelude(w io.Writer, version uint16) error {
+	var prelude [len(protoMagic) + 2]byte
 	copy(prelude[:], protoMagic[:])
-	binary.LittleEndian.PutUint16(prelude[4:], version)
-	if _, err := bw.Write(prelude[:]); err != nil {
-		t.Fatal(err)
-	}
-	return bw, conn
-}
-
-func readErrMetrics(t *testing.T, conn net.Conn) string {
-	t.Helper()
-	var m metrics
-	if err := readGobFrame(bufio.NewReader(conn), frameMetrics, &m); err != nil {
-		t.Fatalf("reading metrics reply: %v", err)
-	}
-	return m.Err
-}
-
-func TestVersionMismatchRejected(t *testing.T) {
-	addrs := startWorkers(t, 1)
-	bw, conn := dialV2(t, addrs[0], protoVersion+7)
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if msg := readErrMetrics(t, conn); !strings.Contains(msg, "version") {
-		t.Fatalf("error %q does not mention the version", msg)
-	}
-}
-
-func TestDeclaredCountEnforced(t *testing.T) {
-	spec, err := join.SpecOf(join.Equi{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := startWorkers(t, 1)
-
-	// EOS before the declared tuples arrived.
-	bw, conn := dialV2(t, addrs[0], protoVersion)
-	hs := handshake{Cond: spec, N1: 5, N2: 0}
-	if err := writeGobFrame(bw, frameHandshake, hs); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrameHeader(bw, frameEOS, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if msg := readErrMetrics(t, conn); !strings.Contains(msg, "declared") {
-		t.Fatalf("truncated stream accepted: %q", msg)
-	}
-
-	// More tuples than declared.
-	bw, conn = dialV2(t, addrs[0], protoVersion)
-	hs = handshake{Cond: spec, N1: 1, N2: 0}
-	if err := writeGobFrame(bw, frameHandshake, hs); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeKeyBlocks(bw, 1, []join.Key{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if msg := readErrMetrics(t, conn); !strings.Contains(msg, "overflow") {
-		t.Fatalf("overflowing block accepted: %q", msg)
-	}
-}
-
-func TestUnknownRelationRejected(t *testing.T) {
-	spec, err := join.SpecOf(join.Equi{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := startWorkers(t, 1)
-	bw, conn := dialV2(t, addrs[0], protoVersion)
-	if err := writeGobFrame(bw, frameHandshake, handshake{Cond: spec, N1: 1, N2: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeKeyBlocks(bw, 3, []join.Key{9}); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if msg := readErrMetrics(t, conn); !strings.Contains(msg, "relation") {
-		t.Fatalf("block for relation 3 accepted: %q", msg)
-	}
-}
-
-func TestMultiBlockRelation(t *testing.T) {
-	// A relation larger than one block frame still reassembles exactly:
-	// exercise the split path by writing two explicit blocks for R1.
-	spec, err := join.SpecOf(join.NewBand(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := startWorkers(t, 1)
-	bw, conn := dialV2(t, addrs[0], protoVersion)
-	r1 := randKeys(1000, 400, 60)
-	r2 := randKeys(1000, 400, 61)
-	if err := writeGobFrame(bw, frameHandshake,
-		handshake{Cond: spec, N1: int64(len(r1)), N2: int64(len(r2))}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeKeyBlocks(bw, 1, r1[:300]); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeKeyBlocks(bw, 1, r1[300:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeKeyBlocks(bw, 2, r2); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrameHeader(bw, frameEOS, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var m metrics
-	if err := readGobFrame(bufio.NewReader(conn), frameMetrics, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Err != "" {
-		t.Fatal(m.Err)
-	}
-	cond := join.NewBand(1)
-	if want := localjoin.NestedLoopCount(r1, r2, cond); m.Output != want {
-		t.Fatalf("output %d, want %d", m.Output, want)
-	}
+	binary.LittleEndian.PutUint16(prelude[len(protoMagic):], version)
+	_, err := w.Write(prelude[:])
+	return err
 }
 
 func TestWorkerCloseStopsServe(t *testing.T) {

@@ -226,3 +226,45 @@ func TestDialWithRejectsUnreachableWorker(t *testing.T) {
 		t.Fatal("dial to dead address succeeded")
 	}
 }
+
+func TestPeerRetiredPayloadFrameRejected(t *testing.T) {
+	// Type 32 carried payload segments on the peer mesh before it was
+	// retired; the receiver now fails the in-flight transfer on it like any
+	// other unknown frame type.
+	ws, _ := startWorkerSet(t, 1)
+	w := ws[0]
+	conn, err := dialTCP(context.Background(), w.Addr(), Timeouts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	const token = 77
+	var h [peerHeadLen]byte
+	binary.LittleEndian.PutUint64(h[:], token)
+	binary.LittleEndian.PutUint32(h[12:], 1)
+	var msg []byte
+	msg = binary.LittleEndian.AppendUint16(append(msg, protoMagic[:]...), protoVersionPeer)
+	msg = binary.LittleEndian.AppendUint32(append(msg, framePeerHead), peerHeadLen)
+	msg = append(msg, h[:]...)
+	msg = binary.LittleEndian.AppendUint32(append(msg, 32), peerHeadLen)
+	msg = append(msg, h[:]...)
+	if _, err := conn.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	st, err := w.bindPeerJob(token, []int64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-st.ready:
+	case <-time.After(5 * time.Second):
+		t.Fatal("transfer still pending after a retired frame type")
+	}
+	st.mu.Lock()
+	stErr := st.err
+	st.mu.Unlock()
+	if stErr == nil || !strings.Contains(stErr.Error(), "unknown peer frame type 32") {
+		t.Fatalf("transfer error %v, want unknown peer frame type 32", stErr)
+	}
+	w.dropPeerState(token)
+}

@@ -254,37 +254,38 @@ func dialV3(t *testing.T, addr string) (*bufio.Writer, net.Conn) {
 	}
 	t.Cleanup(func() { _ = conn.Close() })
 	bw := bufio.NewWriter(conn)
-	var prelude [6]byte
-	copy(prelude[:], protoMagic[:])
-	binary.LittleEndian.PutUint16(prelude[4:], protoVersionSession)
-	if _, err := bw.Write(prelude[:]); err != nil {
+	if err := writePrelude(bw, protoVersionSession); err != nil {
 		t.Fatal(err)
 	}
 	return bw, conn
 }
 
-// readV3ErrMetrics reads reply frames until the job's metrics and returns
-// its error string.
+// readV3Metrics reads one reply frame and requires it to be the job's
+// metrics.
+func readV3Metrics(t *testing.T, br *bufio.Reader, wantJob uint32) metrics {
+	t.Helper()
+	typ, job, n, err := readV3FrameHeader(br)
+	if err != nil {
+		t.Fatalf("reading reply: %v", err)
+	}
+	if typ != frameV3Metrics {
+		t.Fatalf("unexpected reply frame %d", typ)
+	}
+	if job != wantJob {
+		t.Fatalf("reply for job %d, want %d", job, wantJob)
+	}
+	var m metrics
+	if err := readGobPayload(br, n, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// readV3ErrMetrics reads the job's metrics reply and returns its error
+// string.
 func readV3ErrMetrics(t *testing.T, conn net.Conn, wantJob uint32) string {
 	t.Helper()
-	br := bufio.NewReader(conn)
-	for {
-		typ, job, n, err := readV3FrameHeader(br)
-		if err != nil {
-			t.Fatalf("reading reply: %v", err)
-		}
-		if typ != frameV3Metrics {
-			t.Fatalf("unexpected reply frame %d", typ)
-		}
-		if job != wantJob {
-			t.Fatalf("reply for job %d, want %d", job, wantJob)
-		}
-		var m metrics
-		if err := readGobPayload(br, n, &m); err != nil {
-			t.Fatal(err)
-		}
-		return m.Err
-	}
+	return readV3Metrics(t, bufio.NewReader(conn), wantJob).Err
 }
 
 func sendOpenJob(t *testing.T, bw *bufio.Writer, id uint32, wantPairs bool) {
@@ -453,6 +454,103 @@ func TestSessionBlockLengthMismatchKeepsStreamInSync(t *testing.T) {
 	}
 	if msg := readV3ErrMetrics(t, conn, 2); msg != "" {
 		t.Fatalf("follow-up job failed after drained bad frame: %q", msg)
+	}
+}
+
+func TestSessionRejectsMalformedRelations(t *testing.T) {
+	// Each bad job violates one relation-level contract and must fail with
+	// a reply naming it. The connection is shared: after every bad job a
+	// good one — its relation 1 split across two block frames — still runs
+	// on it and produces the exact count.
+	cases := []struct {
+		name  string
+		write func(bw *bufio.Writer, id uint32) error
+		want  string
+	}{
+		{"stream ends short of the head", func(bw *bufio.Writer, id uint32) error {
+			if err := writeRelHead(bw, id, 1, 5, false, 0); err != nil {
+				return err
+			}
+			return writeRelHead(bw, id, 2, 0, false, 0)
+		}, "relation 1 ended at 0 tuples, head declared 5"},
+		{"block overflows the head", func(bw *bufio.Writer, id uint32) error {
+			if err := writeRelHead(bw, id, 1, 1, false, 0); err != nil {
+				return err
+			}
+			if err := writeKeyBlocksV3(bw, id, 1, []join.Key{1, 2, 3}); err != nil {
+				return err
+			}
+			return writeRelHead(bw, id, 2, 0, false, 0)
+		}, "relation 1 overflows declared count 1"},
+		{"block for unknown relation", func(bw *bufio.Writer, id uint32) error {
+			if err := writeRelHead(bw, id, 1, 1, false, 0); err != nil {
+				return err
+			}
+			if err := writeRelHead(bw, id, 2, 1, false, 0); err != nil {
+				return err
+			}
+			return writeKeyBlocksV3(bw, id, 3, []join.Key{9})
+		}, "unknown relation 3"},
+		{"head for unknown relation", func(bw *bufio.Writer, id uint32) error {
+			return writeRelHead(bw, id, 3, 1, false, 0)
+		}, "unknown relation 3"},
+		{"head count above the limit", func(bw *bufio.Writer, id uint32) error {
+			return writeRelHead(bw, id, 1, MaxRelationTuples+1, false, 0)
+		}, "relation count 1073741825 outside"},
+	}
+
+	_, addrs := startWorkerSet(t, 1)
+	bw, conn := dialV3(t, addrs[0])
+	br := bufio.NewReader(conn)
+	cond := join.NewBand(1)
+	spec, err := join.SpecOf(cond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1 := randKeys(1000, 400, 60)
+	r2 := randKeys(1000, 400, 61)
+	want := localjoin.NestedLoopCount(r1, r2, cond)
+	id := uint32(0)
+	for _, tc := range cases {
+		id++
+		sendOpenJob(t, bw, id, false)
+		if err := tc.write(bw, id); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeV3FrameHeader(bw, frameV3EOS, id, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if m := readV3Metrics(t, br, id); !strings.Contains(m.Err, tc.want) {
+			t.Fatalf("%s: error %q, want %q", tc.name, m.Err, tc.want)
+		}
+
+		id++
+		if err := writeV3GobFrame(bw, frameV3OpenJob, id, jobOpen{Cond: spec}); err != nil {
+			t.Fatal(err)
+		}
+		for _, step := range []func() error{
+			func() error { return writeRelHead(bw, id, 1, len(r1), false, 0) },
+			func() error { return writeKeyBlocksV3(bw, id, 1, r1[:300]) },
+			func() error { return writeKeyBlocksV3(bw, id, 1, r1[300:]) },
+			func() error { return writeRelHead(bw, id, 2, len(r2), false, 0) },
+			func() error { return writeKeyBlocksV3(bw, id, 2, r2) },
+			func() error { return writeV3FrameHeader(bw, frameV3EOS, id, 0) },
+			bw.Flush,
+		} {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m := readV3Metrics(t, br, id)
+		if m.Err != "" {
+			t.Fatalf("good job after %s: %s", tc.name, m.Err)
+		}
+		if m.Output != want {
+			t.Fatalf("good job after %s: output %d, want %d", tc.name, m.Output, want)
+		}
 	}
 }
 

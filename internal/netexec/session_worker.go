@@ -22,8 +22,7 @@ import (
 
 // This file is the worker side of the v3 session protocol: one read loop
 // per connection demultiplexes numbered jobs, each job decodes into
-// exactly-sized pooled buffers exactly like a v2 one-shot, and the join
-// runs in its own goroutine at the job's EOS so the read loop keeps
+// exactly-sized pooled buffers, and the join runs in its own goroutine at the job's EOS so the read loop keeps
 // draining the next job's frames while a previous join executes. Job-level
 // protocol violations fail only that job (its remaining frames are read
 // and discarded, then an error metrics frame replies); frame-level
@@ -1128,7 +1127,7 @@ func (w *Worker) finishSessionJob(j *sessJob, bw *bufio.Writer, wmu *sync.Mutex,
 		}
 	default:
 		// Flat count-only job: the job owns its buffers outright, so the
-		// merge engine sorts in place, as v2; the hash engine consults the
+		// merge engine sorts in place; the hash engine consults the
 		// worker's shared build cache.
 		out = w.countFlat(j.engine, r1.keys, r2.keys, j.cond)
 	}
@@ -1304,7 +1303,7 @@ func (w *Worker) runPlanJob(j *sessJob, r1, r2 *sessRel, bw *bufio.Writer, wmu *
 			}
 			continue
 		}
-		if err := w.sendToPeer(ps.Peers[p], ps.Token, sender, blk, nil); err != nil {
+		if err := w.sendToPeer(ps.Peers[p], ps.Token, sender, blk); err != nil {
 			return 0, nil, fmt.Errorf("transfer %d: %w", ps.Token,
 				&peerFaultError{addr: ps.Peers[p], err: err})
 		}
@@ -1385,12 +1384,6 @@ func (w *Worker) finishPeerSessionJob(j *sessJob, bw *bufio.Writer, wmu *sync.Mu
 	st.mu.Lock()
 	flat, stErr := st.flat, st.err
 	st.flat = nil // the job owns it now
-	if st.flatPay != nil {
-		// The session's peer-fed join is keys-only; an assembled payload
-		// segment has no consumer here yet, so recycle it.
-		putByteBuf(st.flatPay)
-		st.flatPay, st.flatOff = nil, nil
-	}
 	st.mu.Unlock()
 	w.finishPeerState(j.token)
 	if stErr == nil && flat == nil {
