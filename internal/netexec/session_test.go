@@ -457,59 +457,22 @@ func TestSessionBlockLengthMismatchKeepsStreamInSync(t *testing.T) {
 	}
 }
 
-func TestSessionRejectsMalformedRelations(t *testing.T) {
-	// Each bad job violates one relation-level contract and must fail with
-	// a reply naming it. The connection is shared: after every bad job a
-	// good one — its relation 1 split across two block frames — still runs
-	// on it and produces the exact count.
-	cases := []struct {
-		name  string
-		write func(bw *bufio.Writer, id uint32) error
-		want  string
-	}{
-		{"stream ends short of the head", func(bw *bufio.Writer, id uint32) error {
-			if err := writeRelHead(bw, id, 1, 5, false, 0); err != nil {
-				return err
-			}
-			return writeRelHead(bw, id, 2, 0, false, 0)
-		}, "relation 1 ended at 0 tuples, head declared 5"},
-		{"block overflows the head", func(bw *bufio.Writer, id uint32) error {
-			if err := writeRelHead(bw, id, 1, 1, false, 0); err != nil {
-				return err
-			}
-			if err := writeKeyBlocksV3(bw, id, 1, []join.Key{1, 2, 3}); err != nil {
-				return err
-			}
-			return writeRelHead(bw, id, 2, 0, false, 0)
-		}, "relation 1 overflows declared count 1"},
-		{"block for unknown relation", func(bw *bufio.Writer, id uint32) error {
-			if err := writeRelHead(bw, id, 1, 1, false, 0); err != nil {
-				return err
-			}
-			if err := writeRelHead(bw, id, 2, 1, false, 0); err != nil {
-				return err
-			}
-			return writeKeyBlocksV3(bw, id, 3, []join.Key{9})
-		}, "unknown relation 3"},
-		{"head for unknown relation", func(bw *bufio.Writer, id uint32) error {
-			return writeRelHead(bw, id, 3, 1, false, 0)
-		}, "unknown relation 3"},
-		{"head count above the limit", func(bw *bufio.Writer, id uint32) error {
-			return writeRelHead(bw, id, 1, MaxRelationTuples+1, false, 0)
-		}, "relation count 1073741825 outside"},
-	}
+// malformedRelation is one bad session job: write sends the job's relation
+// frames after its open, and the job must fail with an error containing want.
+type malformedRelation struct {
+	name  string
+	write func(bw *bufio.Writer, id uint32) error
+	want  string
+}
 
+// checkMalformedRelations runs each bad job on one shared connection, and
+// after every one a good job (sendMultiBlockJob) that must still produce the
+// exact count: a refused job leaves the connection's framing intact.
+func checkMalformedRelations(t *testing.T, cases []malformedRelation) {
+	t.Helper()
 	_, addrs := startWorkerSet(t, 1)
 	bw, conn := dialV3(t, addrs[0])
 	br := bufio.NewReader(conn)
-	cond := join.NewBand(1)
-	spec, err := join.SpecOf(cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := randKeys(1000, 400, 60)
-	r2 := randKeys(1000, 400, 61)
-	want := localjoin.NestedLoopCount(r1, r2, cond)
 	id := uint32(0)
 	for _, tc := range cases {
 		id++
@@ -526,32 +489,94 @@ func TestSessionRejectsMalformedRelations(t *testing.T) {
 		if m := readV3Metrics(t, br, id); !strings.Contains(m.Err, tc.want) {
 			t.Fatalf("%s: error %q, want %q", tc.name, m.Err, tc.want)
 		}
-
 		id++
-		if err := writeV3GobFrame(bw, frameV3OpenJob, id, jobOpen{Cond: spec}); err != nil {
+		sendMultiBlockJob(t, bw, br, id, "good job after "+tc.name)
+	}
+}
+
+// sendMultiBlockJob runs a band(1) count job whose relation 1 is split
+// across two block frames and checks the exact count.
+func sendMultiBlockJob(t *testing.T, bw *bufio.Writer, br *bufio.Reader, id uint32, what string) {
+	t.Helper()
+	cond := join.NewBand(1)
+	spec, err := join.SpecOf(cond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1 := randKeys(1000, 400, 60)
+	r2 := randKeys(1000, 400, 61)
+	if err := writeV3GobFrame(bw, frameV3OpenJob, id, jobOpen{Cond: spec}); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []func() error{
+		func() error { return writeRelHead(bw, id, 1, len(r1), false, 0) },
+		func() error { return writeKeyBlocksV3(bw, id, 1, r1[:300]) },
+		func() error { return writeKeyBlocksV3(bw, id, 1, r1[300:]) },
+		func() error { return writeRelHead(bw, id, 2, len(r2), false, 0) },
+		func() error { return writeKeyBlocksV3(bw, id, 2, r2) },
+		func() error { return writeV3FrameHeader(bw, frameV3EOS, id, 0) },
+		bw.Flush,
+	} {
+		if err := step(); err != nil {
 			t.Fatal(err)
 		}
-		for _, step := range []func() error{
-			func() error { return writeRelHead(bw, id, 1, len(r1), false, 0) },
-			func() error { return writeKeyBlocksV3(bw, id, 1, r1[:300]) },
-			func() error { return writeKeyBlocksV3(bw, id, 1, r1[300:]) },
-			func() error { return writeRelHead(bw, id, 2, len(r2), false, 0) },
-			func() error { return writeKeyBlocksV3(bw, id, 2, r2) },
-			func() error { return writeV3FrameHeader(bw, frameV3EOS, id, 0) },
-			bw.Flush,
-		} {
-			if err := step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		m := readV3Metrics(t, br, id)
-		if m.Err != "" {
-			t.Fatalf("good job after %s: %s", tc.name, m.Err)
-		}
-		if m.Output != want {
-			t.Fatalf("good job after %s: output %d, want %d", tc.name, m.Output, want)
-		}
 	}
+	m := readV3Metrics(t, br, id)
+	if m.Err != "" {
+		t.Fatalf("%s: %s", what, m.Err)
+	}
+	if want := localjoin.NestedLoopCount(r1, r2, cond); m.Output != want {
+		t.Fatalf("%s: output %d, want %d", what, m.Output, want)
+	}
+}
+
+func TestDeclaredCountEnforced(t *testing.T) {
+	// A relation's head declares its tuple count: a stream that ends short
+	// of it, a block that overflows it and a count above the limit all fail.
+	checkMalformedRelations(t, []malformedRelation{
+		{"stream ends short of the head", func(bw *bufio.Writer, id uint32) error {
+			if err := writeRelHead(bw, id, 1, 5, false, 0); err != nil {
+				return err
+			}
+			return writeRelHead(bw, id, 2, 0, false, 0)
+		}, "relation 1 ended at 0 tuples, head declared 5"},
+		{"block overflows the head", func(bw *bufio.Writer, id uint32) error {
+			if err := writeRelHead(bw, id, 1, 1, false, 0); err != nil {
+				return err
+			}
+			if err := writeKeyBlocksV3(bw, id, 1, []join.Key{1, 2, 3}); err != nil {
+				return err
+			}
+			return writeRelHead(bw, id, 2, 0, false, 0)
+		}, "relation 1 overflows declared count 1"},
+		{"head count above the limit", func(bw *bufio.Writer, id uint32) error {
+			return writeRelHead(bw, id, 1, MaxRelationTuples+1, false, 0)
+		}, "relation count 1073741825 outside"},
+	})
+}
+
+func TestUnknownRelationRejected(t *testing.T) {
+	checkMalformedRelations(t, []malformedRelation{
+		{"block for unknown relation", func(bw *bufio.Writer, id uint32) error {
+			if err := writeRelHead(bw, id, 1, 1, false, 0); err != nil {
+				return err
+			}
+			if err := writeRelHead(bw, id, 2, 1, false, 0); err != nil {
+				return err
+			}
+			return writeKeyBlocksV3(bw, id, 3, []join.Key{9})
+		}, "unknown relation 3"},
+		{"head for unknown relation", func(bw *bufio.Writer, id uint32) error {
+			return writeRelHead(bw, id, 3, 1, false, 0)
+		}, "unknown relation 3"},
+	})
+}
+
+func TestMultiBlockRelation(t *testing.T) {
+	// A relation larger than one block frame still reassembles exactly.
+	_, addrs := startWorkerSet(t, 1)
+	bw, conn := dialV3(t, addrs[0])
+	sendMultiBlockJob(t, bw, bufio.NewReader(conn), 1, "multi-block job")
 }
 
 func TestWorkerShutdownDrainsInFlightJob(t *testing.T) {
